@@ -9,6 +9,7 @@ import (
 	"decloud/internal/bidding"
 	"decloud/internal/book"
 	"decloud/internal/experiments"
+	"decloud/internal/obs"
 	"decloud/internal/workload"
 )
 
@@ -139,10 +140,37 @@ func BenchmarkFig5f(b *testing.B) {
 
 // Mechanism microbenchmarks: the auction itself at several market sizes.
 
+// layerUnits names the block layers a mechanism benchmark row reports.
+var layerUnits = [4]string{"index_ms", "cluster_ms", "prepass_ms", "auctions_ms"}
+
+// layerMark is the state of a mechanism bundle's phase histograms, in
+// layerUnits order.
+type layerMark [4]obs.HistogramSnapshot
+
+func markLayers(mm *obs.MechanismMetrics) layerMark {
+	return layerMark{
+		mm.IndexSeconds.Snapshot(), mm.ClusterSeconds.Snapshot(),
+		mm.PrepassSeconds.Snapshot(), mm.AuctionsSeconds.Snapshot(),
+	}
+}
+
+// reportLayers adds the block's layer split to a benchmark row: the mean
+// per-clear index, cluster, prepass and auctions wall time in ms that
+// the bundle recorded since the mark.
+func reportLayers(b *testing.B, mm *obs.MechanismMetrics, since layerMark) {
+	now := markLayers(mm)
+	for i, unit := range layerUnits {
+		if n := now[i].Count - since[i].Count; n > 0 {
+			b.ReportMetric(1e3*(now[i].Sum-since[i].Sum)/float64(n), unit)
+		}
+	}
+}
+
 func benchmarkMechanism(b *testing.B, n int) {
 	market := workload.Generate(workload.Config{Seed: 1, Requests: n})
 	cfg := auction.DefaultConfig()
 	cfg.Evidence = []byte("bench")
+	cfg.Obs = obs.NewMechanismMetrics(obs.NewRegistry())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := auction.Run(market.Requests, market.Offers, cfg)
@@ -150,6 +178,8 @@ func benchmarkMechanism(b *testing.B, n int) {
 			b.Fatal("no trades")
 		}
 	}
+	b.StopTimer()
+	reportLayers(b, cfg.Obs, layerMark{})
 }
 
 func BenchmarkMechanism100(b *testing.B)  { benchmarkMechanism(b, 100) }
@@ -308,6 +338,7 @@ func BenchmarkBookIncremental1000(b *testing.B) {
 	market := workload.Generate(workload.Config{Seed: 1, Requests: 1000})
 	cfg := auction.DefaultConfig()
 	cfg.Incremental = true
+	cfg.Obs = obs.NewMechanismMetrics(obs.NewRegistry())
 	bk := book.New(cfg)
 	for _, r := range market.Requests {
 		bk.InsertRequest(r)
@@ -330,6 +361,7 @@ func BenchmarkBookIncremental1000(b *testing.B) {
 	// per-op cost no longer depends on b.N — which the ±5% min-of-N CI
 	// gate requires.
 	bk.Preview(arrivals, nil, []byte("bench"))
+	untimed := markLayers(cfg.Obs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, _, _ := bk.Preview(arrivals, nil, []byte("bench"))
@@ -337,4 +369,6 @@ func BenchmarkBookIncremental1000(b *testing.B) {
 			b.Fatal("nil outcome")
 		}
 	}
+	b.StopTimer()
+	reportLayers(b, cfg.Obs, untimed)
 }

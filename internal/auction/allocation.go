@@ -12,6 +12,12 @@ import (
 // consumes granted_k · d_r, and the sum of allocated fractions per kind
 // never exceeds 1. Instantaneous grants are additionally capped at
 // ρ_{o,k} (Const. 8).
+//
+// The mechanism packs with the dense block-position tracker (dense.go);
+// Tracker computes the same numbers over resource.Vector maps and is
+// the oracle it is proven against — the reference pipeline
+// (Match.Reference) packs with it — and the accounting
+// internal/baseline uses.
 type Tracker struct {
 	remaining map[bidding.OrderID]resource.Vector
 }
@@ -52,21 +58,17 @@ func (t *Tracker) Remaining(o *bidding.Offer) resource.Vector {
 // budget supports for d_r. It returns nil when the grant would fall below
 // the request's flexibility threshold on any kind, or the windows are
 // incompatible. TryGrant does not mutate the tracker.
-func (t *Tracker) TryGrant(r *bidding.Request, o *bidding.Offer) resource.Vector {
-	if !bidding.TimeCompatible(r, o) || !r.WithinReach(o) {
-		return nil
-	}
-	return grantFrom(t.capacity(o), r, o)
-}
-
-// grantFrom is the resource math of TryGrant against an explicit
-// remaining-capacity vector, shared with the copy-on-write overlay. Two
-// passes: the first validates every kind against the flexibility
+//
+// Two passes: the first validates every kind against the flexibility
 // threshold without allocating — packing loops probe far more pairs than
 // they place, and a failed probe must cost nothing — and only a feasible
 // grant builds the result map. Per-kind arithmetic is identical in both
 // passes, so the second pass cannot disagree with the first.
-func grantFrom(rem resource.Vector, r *bidding.Request, o *bidding.Offer) resource.Vector {
+func (t *Tracker) TryGrant(r *bidding.Request, o *bidding.Offer) resource.Vector {
+	if !bidding.TimeCompatible(r, o) || !r.WithinReach(o) {
+		return nil
+	}
+	rem := t.capacity(o)
 	flex := r.Flex()
 	dur := float64(r.Duration)
 	positive := false
@@ -116,31 +118,6 @@ func (t *Tracker) Commit(o *bidding.Offer, granted resource.Vector, duration int
 	t.capacity(o).SubScaledInPlace(granted, float64(duration))
 }
 
-// overlayTracker is a copy-on-write view of a parent Tracker for trial
-// packing: reads fall through to the parent, commits clone only the
-// touched offer's vector into the overlay. A trial touches a handful of
-// offers; Clone copies every offer materialized block-wide.
-type overlayTracker struct {
-	parent *Tracker
-	delta  map[bidding.OrderID]resource.Vector
-}
-
-func (ot *overlayTracker) capacity(o *bidding.Offer) resource.Vector {
-	if rem, ok := ot.delta[o.ID]; ok {
-		return rem
-	}
-	return ot.parent.capacity(o)
-}
-
-func (ot *overlayTracker) commit(o *bidding.Offer, granted resource.Vector, duration int64) {
-	rem, ok := ot.delta[o.ID]
-	if !ok {
-		rem = ot.parent.capacity(o).Clone()
-		ot.delta[o.ID] = rem
-	}
-	rem.SubScaledInPlace(granted, float64(duration))
-}
-
 // Assignment is one request placed on one offer with a concrete grant.
 type Assignment struct {
 	Req     EconRequest
@@ -149,10 +126,15 @@ type Assignment struct {
 	// Start is the scheduled start time (the request's window start
 	// under the aggregate model; a concrete slot under exact scheduling).
 	Start int64
+
+	phi float64 // φ_{(r,o)} of the grant (Eq. 6)
+	oi  int32   // index of Off in the cluster's Offers
+	op  int32   // block position of the offer
 }
 
-// Pack greedily places the cluster's requests onto its offers.
+// pack greedily places the cluster's requests onto its offers.
 //
+//   - pos gives the block positions of ec's orders for this clear.
 //   - reqOrder lists indexes into ec.Requests in the order to try; nil
 //     means natural order (v̂ descending).
 //   - offOrder lists indexes into ec.Offers in the order to try; nil
@@ -162,64 +144,28 @@ type Assignment struct {
 //     get to serve depended on the reported cost, an idle provider could
 //     underbid its way into the allocation and profit at the clearing
 //     price.
-//   - reqOK / offOK filter eligibility (nil means all eligible).
+//   - reqOK / offOK are eligibility bitsets over ec.Requests / ec.Offers
+//     indexes (nil means all eligible).
 //   - pairOK filters request↔offer pairs (nil admits all); the mechanism
 //     uses it for the provider-side reputation gate of Section III-B.
-//   - taken marks requests already allocated elsewhere in the block; it
-//     is updated as requests are placed.
-//   - tr supplies shared capacity; successful grants are committed.
+//   - taken marks, by block position, requests already allocated
+//     elsewhere in the block; it is updated as requests are placed. nil
+//     skips the bookkeeping (an isolated pack visits each request once).
+//   - c supplies capacity; successful grants are committed.
 //
-// A request is placed on the first eligible offer (in offOrder) that is
+// Placements are appended to out (scratch the caller reuses), in
+// placement order. A request is placed on the first eligible offer (in offOrder) that is
 // profitable for it (v̂_r ≥ ĉ_o) and can grant it within the request's
 // flexibility.
-func (ec *EconCluster) Pack(
-	tr Capacity,
-	taken map[bidding.OrderID]bool,
-	reqOK func(EconRequest) bool,
-	offOK func(EconOffer) bool,
-	pairOK func(EconRequest, EconOffer) bool,
-	reqOrder []int,
-	offOrder []int,
-) []Assignment {
-	return ec.pack(tr, takenMap(taken), reqOK, offOK, pairOK, reqOrder, offOrder)
-}
-
-// takenSet abstracts the taken bookkeeping so a trial pack can layer an
-// overlay over the block's set without copying it.
-type takenSet interface {
-	has(bidding.OrderID) bool
-	mark(bidding.OrderID)
-}
-
-type takenMap map[bidding.OrderID]bool
-
-func (m takenMap) has(id bidding.OrderID) bool { return m[id] }
-func (m takenMap) mark(id bidding.OrderID)     { m[id] = true }
-
-// takenOverlay reads through to a base set and keeps writes local.
-type takenOverlay struct {
-	base  map[bidding.OrderID]bool
-	local map[bidding.OrderID]bool
-}
-
-func newTakenOverlay(base map[bidding.OrderID]bool) *takenOverlay {
-	return &takenOverlay{base: base, local: make(map[bidding.OrderID]bool)}
-}
-
-func (t *takenOverlay) has(id bidding.OrderID) bool { return t.local[id] || t.base[id] }
-func (t *takenOverlay) mark(id bidding.OrderID)     { t.local[id] = true }
-
-// pack is Pack over a takenSet. A nil reqOrder/offOrder means natural
-// order, iterated directly rather than via a materialized identity
-// permutation.
 func (ec *EconCluster) pack(
-	tr Capacity,
-	taken takenSet,
-	reqOK func(EconRequest) bool,
-	offOK func(EconOffer) bool,
+	c packCapacity,
+	pos clusterPos,
+	taken bitset,
+	reqOK, offOK bitset,
 	pairOK func(EconRequest, EconOffer) bool,
 	reqOrder []int,
 	offOrder []int,
+	out []Assignment,
 ) []Assignment {
 	nr := len(ec.Requests)
 	if reqOrder != nil {
@@ -229,43 +175,45 @@ func (ec *EconCluster) pack(
 	if offOrder != nil {
 		no = len(offOrder)
 	}
-	var out []Assignment
 	for i := 0; i < nr; i++ {
 		ri := i
 		if reqOrder != nil {
 			ri = reqOrder[i]
 		}
-		er := ec.Requests[ri]
-		if taken.has(er.Request.ID) {
+		rp := int(pos.req[ri])
+		if taken != nil && taken.has(rp) {
 			continue
 		}
-		if reqOK != nil && !reqOK(er) {
+		if reqOK != nil && !reqOK.has(ri) {
 			continue
 		}
+		er := &ec.Requests[ri]
 		for j := 0; j < no; j++ {
 			oi := j
 			if offOrder != nil {
 				oi = offOrder[j]
 			}
-			eo := ec.Offers[oi]
-			if offOK != nil && !offOK(eo) {
+			if offOK != nil && !offOK.has(oi) {
 				continue
 			}
-			if pairOK != nil && !pairOK(er, eo) {
-				continue
-			}
+			eo := &ec.Offers[oi]
 			if er.VHat < eo.CHat {
 				// Unprofitable pairing; with a custom offer order later
 				// offers may still be cheaper, so keep scanning.
 				continue
 			}
-			granted, start, ok := tr.TryGrant(er.Request, eo.Offer)
+			if pairOK != nil && !pairOK(*er, *eo) {
+				continue
+			}
+			op := int(pos.off[oi])
+			granted, start, phi, ok := c.place(er.Request, rp, eo.Offer, op)
 			if !ok {
 				continue
 			}
-			tr.Commit(er.Request, eo.Offer, granted, start)
-			taken.mark(er.Request.ID)
-			out = append(out, Assignment{Req: er, Off: eo, Granted: granted, Start: start})
+			if taken != nil {
+				taken.set(rp)
+			}
+			out = append(out, Assignment{Req: *er, Off: *eo, Granted: granted, Start: start, phi: phi, oi: int32(oi), op: int32(op)})
 			break
 		}
 	}
@@ -274,7 +222,9 @@ func (ec *EconCluster) pack(
 
 // Fraction computes φ_{(r,o)} (Eq. 6) for a concrete grant: the time
 // share d_r/(t_o⁺−t_o⁻) times the mean granted share over the kinds the
-// offer actually provides.
+// offer actually provides. A kind granted 0 (a flexible request on a
+// kind the offer has used up) counts in neither the sum nor the mean:
+// AppendKinds lists positive quantities only.
 func Fraction(granted resource.Vector, r *bidding.Request, o *bidding.Offer) float64 {
 	if o.Window() <= 0 {
 		return 0

@@ -7,100 +7,15 @@ import (
 	"decloud/internal/resource"
 )
 
-// Capacity abstracts how offer capacity is accounted during packing.
-// Two models are provided:
-//
-//   - Tracker (aggregate): the paper's Const. 7 semantics — the commodity
-//     is resource·time, with instantaneous caps per grant but no check
-//     that concurrent placements fit together at every moment.
-//   - IntervalTracker (exact): every grant is scheduled at a concrete
-//     start time, and the sum of concurrent grants never exceeds the
-//     machine at ANY instant. Stricter than the paper's model; an
-//     extension for callers that need physically executable schedules.
-type Capacity interface {
-	// TryGrant computes the grant offer o can give request r and the
-	// start time it would be scheduled at. ok is false when infeasible.
-	// TryGrant must not mutate state.
-	TryGrant(r *bidding.Request, o *bidding.Offer) (granted resource.Vector, start int64, ok bool)
-	// Commit records a grant produced by TryGrant.
-	Commit(r *bidding.Request, o *bidding.Offer, granted resource.Vector, start int64)
-	// Clone deep-copies the accounting state for trial packing.
-	Clone() Capacity
-}
-
-// Aggregate Tracker adaptation to the Capacity interface.
-
-// TryGrantAt implements Capacity for the aggregate tracker: grants start
-// at the beginning of the request's window.
-func (t *Tracker) TryGrantAt(r *bidding.Request, o *bidding.Offer) (resource.Vector, int64, bool) {
-	g := t.TryGrant(r, o)
-	if g == nil {
-		return nil, 0, false
-	}
-	return g, r.Start, true
-}
-
-// trackerCapacity wraps *Tracker as a Capacity.
-type trackerCapacity struct{ t *Tracker }
-
-// NewAggregateCapacity returns the paper-faithful resource·time model.
-func NewAggregateCapacity() Capacity { return trackerCapacity{t: NewTracker()} }
-
-func (tc trackerCapacity) TryGrant(r *bidding.Request, o *bidding.Offer) (resource.Vector, int64, bool) {
-	return tc.t.TryGrantAt(r, o)
-}
-
-func (tc trackerCapacity) Commit(r *bidding.Request, o *bidding.Offer, granted resource.Vector, _ int64) {
-	tc.t.Commit(o, granted, r.Duration)
-}
-
-func (tc trackerCapacity) Clone() Capacity { return trackerCapacity{t: tc.t.Clone()} }
-
-// Overlay returns a copy-on-write trial view of the aggregate tracker:
-// reads see the parent's state, commits stay in the overlay.
-func (tc trackerCapacity) Overlay() Capacity {
-	return overlayCapacity{ot: &overlayTracker{
-		parent: tc.t,
-		delta:  make(map[bidding.OrderID]resource.Vector),
-	}}
-}
-
-// trialCapacity returns a capacity suitable for trial packing: a cheap
-// copy-on-write overlay when the model supports one, else a full Clone
-// (the exact-scheduling tracker keeps the Clone path). Either way the
-// trial observes exactly the parent's values and leaves it untouched.
-func trialCapacity(c Capacity) Capacity {
-	if o, ok := c.(interface{ Overlay() Capacity }); ok {
-		return o.Overlay()
-	}
-	return c.Clone()
-}
-
-// overlayCapacity adapts overlayTracker to the Capacity interface.
-type overlayCapacity struct{ ot *overlayTracker }
-
-func (oc overlayCapacity) TryGrant(r *bidding.Request, o *bidding.Offer) (resource.Vector, int64, bool) {
-	if !bidding.TimeCompatible(r, o) || !r.WithinReach(o) {
-		return nil, 0, false
-	}
-	g := grantFrom(oc.ot.capacity(o), r, o)
-	if g == nil {
-		return nil, 0, false
-	}
-	return g, r.Start, true
-}
-
-func (oc overlayCapacity) Commit(r *bidding.Request, o *bidding.Offer, granted resource.Vector, _ int64) {
-	oc.ot.commit(o, granted, r.Duration)
-}
-
-func (oc overlayCapacity) Clone() Capacity {
-	c := oc.ot.parent.Clone()
-	for id, v := range oc.ot.delta {
-		c.remaining[id] = v.Clone()
-	}
-	return trackerCapacity{t: c}
-}
+// Capacity accounting during packing follows one of two models. The
+// paper's Const. 7 semantics — the commodity is resource·time, with
+// instantaneous caps per grant but no check that concurrent placements
+// fit together at every moment — is the dense block tracker (dense.go),
+// with the map-keyed Tracker as its oracle. IntervalTracker is the exact
+// model: every grant is scheduled at a concrete start time, and the sum
+// of concurrent grants never exceeds the machine at ANY instant.
+// Stricter than the paper's model; an extension for callers that need
+// physically executable schedules.
 
 // placement is one scheduled grant on a machine.
 type placement struct {
@@ -115,12 +30,12 @@ type IntervalTracker struct {
 }
 
 // NewIntervalCapacity returns the exact-scheduling model.
-func NewIntervalCapacity() Capacity {
+func NewIntervalCapacity() *IntervalTracker {
 	return &IntervalTracker{placed: make(map[bidding.OrderID][]placement)}
 }
 
 // Clone deep-copies the schedule.
-func (it *IntervalTracker) Clone() Capacity {
+func (it *IntervalTracker) Clone() *IntervalTracker {
 	c := &IntervalTracker{placed: make(map[bidding.OrderID][]placement, len(it.placed))}
 	for id, ps := range it.placed {
 		c.placed[id] = append([]placement(nil), ps...)

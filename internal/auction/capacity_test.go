@@ -10,7 +10,7 @@ import (
 )
 
 func TestIntervalTrackerSchedulesSequentially(t *testing.T) {
-	it := NewIntervalCapacity().(*IntervalTracker)
+	it := NewIntervalCapacity()
 	o := &bidding.Offer{
 		ID: "o", Provider: "p",
 		Resources: resource.Vector{resource.CPU: 4},
@@ -53,7 +53,7 @@ func TestIntervalTrackerSchedulesSequentially(t *testing.T) {
 }
 
 func TestIntervalTrackerConcurrentWhenCapacityAllows(t *testing.T) {
-	it := NewIntervalCapacity().(*IntervalTracker)
+	it := NewIntervalCapacity()
 	o := &bidding.Offer{
 		ID: "o", Provider: "p",
 		Resources: resource.Vector{resource.CPU: 4},
@@ -105,18 +105,18 @@ func TestExactSchedulingRejectsForcedOverlap(t *testing.T) {
 		Start:     30, End: 90, Duration: 60, Bid: 1,
 	}
 
-	agg := NewAggregateCapacity()
-	g, s, ok := agg.TryGrant(r1, o)
-	if !ok {
+	agg := NewTracker()
+	ag := agg.TryGrant(r1, o)
+	if ag == nil {
 		t.Fatal("aggregate r1")
 	}
-	agg.Commit(r1, o, g, s)
-	if _, _, ok := agg.TryGrant(r2, o); !ok {
+	agg.Commit(o, ag, r1.Duration)
+	if agg.TryGrant(r2, o) == nil {
 		t.Skip("aggregate model happened to reject; nothing to contrast")
 	}
 
 	exact := NewIntervalCapacity()
-	g, s, ok = exact.TryGrant(r1, o)
+	g, s, ok := exact.TryGrant(r1, o)
 	if !ok {
 		t.Fatal("exact r1")
 	}

@@ -190,39 +190,35 @@ func sortEcon(ec *EconCluster) {
 // outcome is consensus-critical). Masks are MaskWords() words wide —
 // wide blocks (> 64 distinct kinds) take the same path, iterating words
 // ascending and bits ascending, which is still globally ascending kind
-// order. Falls back to ComputeEconomics only when the index is nil or
-// does not know the cluster's orders.
+// order. The cluster must be built over ix's orders (cluster.BuildIndex
+// on ix, or a builder fed the orders ix indexes); an order ix does not
+// hold panics.
 func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]bool, ix *match.Index) *EconCluster {
-	if ix == nil {
-		return ComputeEconomics(cl, critical)
-	}
 	kinds := ix.Kinds()
 	nw := ix.MaskWords()
-	reqMasks := make([][]uint64, len(cl.Requests))
-	reqRows := make([][]float64, len(cl.Requests))
+	// Block positions of the cluster's orders; masks and rows are read
+	// from the index through them.
+	pos := make([]int, len(cl.Requests)+len(cl.Offers))
+	reqPos, offPos := pos[:len(cl.Requests)], pos[len(cl.Requests):]
 	reqUnion := make([]uint64, nw)
 	for i, r := range cl.Requests {
-		m, ok := ix.RequestMaskRow(r)
-		row, ok2 := ix.RequestRow(r)
-		if !ok || !ok2 {
-			return ComputeEconomics(cl, critical)
+		p, ok := ix.RequestPos(r)
+		if !ok {
+			panic(errMissingOrder)
 		}
-		reqMasks[i], reqRows[i] = m, row
-		for w, mw := range m {
+		reqPos[i] = p
+		for w, mw := range ix.RequestMask(p) {
 			reqUnion[w] |= mw
 		}
 	}
-	offMasks := make([][]uint64, len(cl.Offers))
-	offRows := make([][]float64, len(cl.Offers))
 	offUnion := make([]uint64, nw)
 	for i, o := range cl.Offers {
-		m, ok := ix.OfferMaskRow(o)
-		row, ok2 := ix.OfferRow(o)
-		if !ok || !ok2 {
-			return ComputeEconomics(cl, critical)
+		p, ok := ix.OfferPos(o)
+		if !ok {
+			panic(errMissingOrder)
 		}
-		offMasks[i], offRows[i] = m, row
-		for w, mw := range m {
+		offPos[i] = p
+		for w, mw := range ix.OfferMask(p) {
 			offUnion[w] |= mw
 		}
 	}
@@ -237,12 +233,13 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 		ncommon += bits.OnesCount64(common[w])
 	}
 	maxRow := make([]float64, len(kinds))
-	for i := range offRows {
+	for _, p := range offPos {
+		mask, row := ix.OfferMask(p), ix.OfferRow(p)
 		for w := 0; w < nw; w++ {
 			base := w * 64
-			for m := offMasks[i][w] & common[w]; m != 0; m &= m - 1 {
+			for m := mask[w] & common[w]; m != 0; m &= m - 1 {
 				k := base + bits.TrailingZeros64(m)
-				if q := offRows[i][k]; q > maxRow[k] {
+				if q := row[k]; q > maxRow[k] {
 					maxRow[k] = q
 				}
 			}
@@ -269,10 +266,10 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 	for k := range critical {
 		crit[k] = true
 	}
-	if len(reqMasks) > 0 {
-		inAll := append([]uint64(nil), reqMasks[0]...)
-		for _, m := range reqMasks[1:] {
-			for w, mw := range m {
+	if len(reqPos) > 0 {
+		inAll := append([]uint64(nil), ix.RequestMask(reqPos[0])...)
+		for _, p := range reqPos[1:] {
+			for w, mw := range ix.RequestMask(p) {
 				inAll[w] &= mw
 			}
 		}
@@ -290,7 +287,13 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 		}
 	}
 
-	ec := &EconCluster{Cluster: cl, Scale: resource.NewScale(maxVec), Critical: crit}
+	ec := &EconCluster{
+		Cluster:  cl,
+		Scale:    resource.NewScale(maxVec),
+		Critical: crit,
+		Requests: make([]EconRequest, 0, len(cl.Requests)),
+		Offers:   make([]EconOffer, 0, len(cl.Offers)),
+	}
 	// fraction is Scale.Fraction over a dense row: Σ q² over the vector's
 	// kinds known to M_CL, ascending bit = sorted kind order.
 	fraction := func(vmask []uint64, row []float64) float64 {
@@ -312,7 +315,7 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 		return f
 	}
 	for i, o := range cl.Offers {
-		nu := fraction(offMasks[i], offRows[i])
+		nu := fraction(ix.OfferMask(offPos[i]), ix.OfferRow(offPos[i]))
 		if nu <= 0 || o.Window() <= 0 {
 			continue
 		}
@@ -323,6 +326,7 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 		})
 	}
 	for i, r := range cl.Requests {
+		mask, row := ix.RequestMask(reqPos[i]), ix.RequestRow(reqPos[i])
 		// CriticalFraction: max share of any critical kind M_CL knows —
 		// a max, so iteration order is immaterial.
 		var cf float64
@@ -330,7 +334,7 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 			base := w * 64
 			for m := critMask[w] & common[w]; m != 0; m &= m - 1 {
 				k := base + bits.TrailingZeros64(m)
-				if f := reqRows[i][k] / maxRow[k]; f > cf {
+				if f := row[k] / maxRow[k]; f > cf {
 					cf = f
 				}
 			}
@@ -338,7 +342,7 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 		if cf > 1 {
 			cf = 1
 		}
-		nu := math.Max(cf, fraction(reqMasks[i], reqRows[i]))
+		nu := math.Max(cf, fraction(mask, row))
 		if nu <= 0 || r.Duration <= 0 {
 			continue
 		}

@@ -3,6 +3,7 @@ package auction
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -194,19 +195,59 @@ func pairGate(cfg Config) func(EconRequest, EconOffer) bool {
 	}
 }
 
-// newCapacity picks the capacity model for a run.
-func newCapacity(cfg Config) Capacity {
-	if cfg.ExactScheduling {
+// newCapacity picks the capacity model for a pack: exact interval
+// scheduling when configured, the map Tracker under Match.Reference —
+// the oracle the dense path is proven against — and otherwise the dense
+// tracker over ix's block positions. vectors=false skips materializing
+// grant vectors (the pre-pass reads only φ).
+func newCapacity(cfg Config, ix *match.Index, vectors bool) packCapacity {
+	switch {
+	case cfg.ExactScheduling:
 		return NewIntervalCapacity()
+	case cfg.Match.Reference:
+		return NewTracker()
 	}
-	return NewAggregateCapacity()
+	return newDenseTracker(ix, vectors)
+}
+
+// prepassScratch is one worker's reusable state for the pre-passes of a
+// clear: its dense tracker (reset between clusters) and assignment
+// buffer.
+type prepassScratch struct {
+	cfg   Config
+	ix    *match.Index
+	dense *denseTracker
+	asg   []Assignment
+}
+
+// prepassScratches returns one scratch per worker slot.
+func prepassScratches(cfg Config, ix *match.Index, workers int) []prepassScratch {
+	s := make([]prepassScratch, workers)
+	for w := range s {
+		s[w].cfg, s[w].ix = cfg, ix
+	}
+	return s
+}
+
+// capacity returns empty capacity for one isolated pack: the worker's
+// dense tracker, reset, or a fresh map or interval model.
+func (s *prepassScratch) capacity() packCapacity {
+	if s.dense != nil {
+		s.dense.reset(s.ix)
+		return s.dense
+	}
+	c := newCapacity(s.cfg, s.ix, false)
+	s.dense, _ = c.(*denseTracker)
+	return c
 }
 
 const eps = 1e-9
 
 // clusterStats caches the per-cluster marginal economics computed by the
 // pre-pass, which stay fixed for the rest of the block (Algorithm 1
-// determines v̂_z and ĉ_{z'+1} before mini-auctions are formed).
+// determines v̂_z and ĉ_{z'+1} before mini-auctions are formed). Stats
+// are retained by the order book's prepass cache across clears, so they
+// refer to orders by their index in ec, never by block position.
 type clusterStats struct {
 	ec *EconCluster
 	// Marginal economics from the greedy pre-pass.
@@ -214,29 +255,32 @@ type clusterStats struct {
 	cHatZ float64 // ĉ_{z'}: highest allocated normalized cost
 	// zClient identifies the potential request-side price setter.
 	zClient bidding.ParticipantID
-	// used marks offers that received an allocation in this cluster's
-	// pre-pass; unused lists the rest in ĉ-ascending order. The ĉ_{z'+1}
-	// price setter is resolved at the mini-auction level: it must be an
-	// offer unused in EVERY member cluster (an offer trading in one
-	// cluster but idle in another is not a marginal seller).
-	used    map[bidding.OrderID]bool
-	unused  []EconOffer
+	// used marks (by index into ec.Offers) offers that received an
+	// allocation in this cluster's pre-pass; unused lists the rest in
+	// ĉ-ascending order. The ĉ_{z'+1} price setter is resolved at the
+	// mini-auction level: it must be an offer unused in EVERY member
+	// cluster (an offer trading in one cluster but idle in another is
+	// not a marginal seller).
+	used    bitset
+	unused  []int32
 	welfare float64 // bid-based welfare of the pre-pass allocation
 	active  bool
 }
 
-// prePass greedily allocates the cluster in isolation (fresh capacity) to
-// locate the break-even indices z and z′ and estimate the cluster's
+// prePass greedily allocates the cluster in isolation (empty capacity)
+// to locate the break-even indices z and z′ and estimate the cluster's
 // welfare, per Algorithm 1's "allocate r, o ∈ cluster greedily; determine
 // v̂_z, ĉ_{z'+1}".
-func prePass(ec *EconCluster, pairOK func(EconRequest, EconOffer) bool, fresh func() Capacity) clusterStats {
-	st := clusterStats{ec: ec, used: make(map[bidding.OrderID]bool)}
-	asg := ec.Pack(fresh(), make(map[bidding.OrderID]bool), nil, nil, pairOK, nil, nil)
+func prePass(ec *EconCluster, pos clusterPos, pairOK func(EconRequest, EconOffer) bool, s *prepassScratch) clusterStats {
+	st := clusterStats{ec: ec}
+	asg := ec.pack(s.capacity(), pos, nil, nil, nil, pairOK, nil, nil, s.asg[:0])
+	s.asg = asg
 	if len(asg) == 0 {
 		return st
 	}
 	st.active = true
 	st.vHatZ = math.Inf(1)
+	st.used = newBitset(len(ec.Offers))
 	for _, a := range asg {
 		if a.Req.VHat < st.vHatZ {
 			st.vHatZ = a.Req.VHat
@@ -245,12 +289,12 @@ func prePass(ec *EconCluster, pairOK func(EconRequest, EconOffer) bool, fresh fu
 		if a.Off.CHat > st.cHatZ {
 			st.cHatZ = a.Off.CHat
 		}
-		st.used[a.Off.Offer.ID] = true
-		st.welfare += a.Req.Request.Bid - Fraction(a.Granted, a.Req.Request, a.Off.Offer)*a.Off.Offer.Bid
+		st.used.set(int(a.oi))
+		st.welfare += a.Req.Request.Bid - a.phi*a.Off.Offer.Bid
 	}
-	for _, eo := range ec.Offers {
-		if !st.used[eo.Offer.ID] {
-			st.unused = append(st.unused, eo) // ec.Offers is ĉ-ascending
+	for j := range ec.Offers {
+		if !st.used.has(j) {
+			st.unused = append(st.unused, int32(j)) // ec.Offers is ĉ-ascending
 		}
 	}
 	return st
@@ -356,27 +400,49 @@ func (pt *phaseTimer) finish(out *Outcome, ix *match.Index) {
 
 // blockState is the mutable allocation state threaded through the
 // mini-auction execution loop: shared offer capacity plus the taken /
-// reduction / lottery bookkeeping. Sequential mode threads ONE state
-// through every mini-auction; parallel mode gives each order-disjoint
-// component of mini-auctions its own state and merges afterwards —
-// equivalent because every map is keyed by order ID and components
-// share no orders.
+// reduction / lottery bookkeeping, as bitsets over block positions.
+// Sequential mode threads ONE state through every mini-auction; parallel
+// mode gives each worker its own state for the order-disjoint components
+// of mini-auctions it executes and merges afterwards — equivalent
+// because all state is keyed by order position and components share no
+// orders.
 type blockState struct {
-	tracker    Capacity
-	taken      map[bidding.OrderID]bool
-	reducedReq map[bidding.OrderID]bool
-	reducedOff map[bidding.OrderID]bool
-	lottery    map[bidding.OrderID]bool
+	tracker    packCapacity
+	taken      bitset // request positions
+	reducedReq bitset // request positions
+	reducedOff bitset // offer positions
+	lottery    bitset // request positions
+
+	// Scratch reused across mini-auctions.
+	asg          []Assignment
+	trialTaken   bitset // request positions
+	usedAnywhere bitset // offer positions
+	reqOK, offOK bitset // cluster-local eligibility
 }
 
-func newBlockState(cfg Config) *blockState {
+func newBlockState(cfg Config, ix *match.Index) *blockState {
+	nr, no := len(ix.Requests()), len(ix.Offers())
 	return &blockState{
-		tracker:    newCapacity(cfg),
-		taken:      make(map[bidding.OrderID]bool),
-		reducedReq: make(map[bidding.OrderID]bool),
-		reducedOff: make(map[bidding.OrderID]bool),
-		lottery:    make(map[bidding.OrderID]bool),
+		tracker:      newCapacity(cfg, ix, true),
+		taken:        newBitset(nr),
+		reducedReq:   newBitset(nr),
+		reducedOff:   newBitset(no),
+		lottery:      newBitset(nr),
+		trialTaken:   newBitset(nr),
+		usedAnywhere: newBitset(no),
 	}
+}
+
+// block is one clear's read-only context for the mini-auctions: the
+// pre-pass stats and block positions of every cluster, and what the
+// auctions consult besides.
+type block struct {
+	ix       *match.Index
+	cfg      Config
+	pairOK   func(EconRequest, EconOffer) bool
+	evidence []byte
+	all      []clusterStats
+	pos      []clusterPos
 }
 
 // trade is one assignment recorded by a mini-auction, awaiting emission
@@ -395,11 +461,12 @@ type trade struct {
 // the trade. A cluster-local unused offer cheaper than other clusters'
 // trading offers is an artifact of cluster-local capacity, not the
 // marginal seller — letting it set the price would push p below trading
-// sellers' costs and collapse the pool. ok is false when the pool has
-// no finite price (nothing trades).
-func auctionPrice(auc miniauction.Auction, all []clusterStats) (p, maxUsedCost float64, usedAnywhere map[bidding.OrderID]bool, ok bool) {
+// sellers' costs and collapse the pool. usedAnywhere is filled with the
+// block positions of every offer trading in some member cluster. ok is
+// false when the pool has no finite price (nothing trades).
+func auctionPrice(auc miniauction.Auction, all []clusterStats, pos []clusterPos, usedAnywhere bitset) (p, maxUsedCost float64, ok bool) {
+	clear(usedAnywhere)
 	minVZ := math.Inf(1)
-	usedAnywhere = make(map[bidding.OrderID]bool)
 	for _, ci := range auc.Clusters {
 		st := all[ci]
 		if st.vHatZ < minVZ {
@@ -408,8 +475,10 @@ func auctionPrice(auc miniauction.Auction, all []clusterStats) (p, maxUsedCost f
 		if st.cHatZ > maxUsedCost {
 			maxUsedCost = st.cHatZ
 		}
-		for id := range st.used {
-			usedAnywhere[id] = true
+		for w, m := range st.used {
+			for ; m != 0; m &= m - 1 {
+				usedAnywhere.set(int(pos[ci].off[w*64+bits.TrailingZeros64(m)]))
+			}
 		}
 	}
 	// The ĉ_{z'+1} candidate: the cheapest offer that trades in NO
@@ -417,8 +486,9 @@ func auctionPrice(auc miniauction.Auction, all []clusterStats) (p, maxUsedCost f
 	// the genuine marginal seller of the pooled auction.
 	nextCost := math.Inf(1)
 	for _, ci := range auc.Clusters {
-		for _, eo := range all[ci].unused {
-			if usedAnywhere[eo.Offer.ID] || eo.CHat < maxUsedCost-eps {
+		for _, j := range all[ci].unused {
+			eo := all[ci].ec.Offers[j]
+			if usedAnywhere.has(int(pos[ci].off[j])) || eo.CHat < maxUsedCost-eps {
 				continue
 			}
 			if eo.CHat < nextCost {
@@ -428,7 +498,7 @@ func auctionPrice(auc miniauction.Auction, all []clusterStats) (p, maxUsedCost f
 		}
 	}
 	p = math.Min(minVZ, nextCost)
-	return p, maxUsedCost, usedAnywhere, !math.IsInf(p, 1)
+	return p, maxUsedCost, !math.IsInf(p, 1)
 }
 
 // runMiniAuction executes one mini-auction — pricing, trade reduction,
@@ -437,8 +507,9 @@ func auctionPrice(auc miniauction.Auction, all []clusterStats) (p, maxUsedCost f
 // ai must be the auction's index in the block-wide auction list: it
 // keys the evidence-derived lotteries, so it must not depend on how
 // auctions are scheduled across workers.
-func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Config, pairOK func(EconRequest, EconOffer) bool, evidence []byte, st *blockState) []trade {
-	p, maxUsedCost, usedAnywhere, ok := auctionPrice(auc, all)
+func runMiniAuction(ai int, auc miniauction.Auction, b *block, st *blockState) []trade {
+	all, cfg := b.all, b.cfg
+	p, maxUsedCost, ok := auctionPrice(auc, all, b.pos, st.usedAnywhere)
 	if !ok {
 		return nil
 	}
@@ -453,8 +524,9 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 		if cs.active && cs.vHatZ <= p+eps {
 			exclClients[cs.zClient] = true
 		}
-		for _, eo := range cs.unused {
-			if usedAnywhere[eo.Offer.ID] || eo.CHat < maxUsedCost-eps {
+		for _, j := range cs.unused {
+			eo := cs.ec.Offers[j]
+			if st.usedAnywhere.has(int(b.pos[ci].off[j])) || eo.CHat < maxUsedCost-eps {
 				continue
 			}
 			if eo.CHat <= p+eps {
@@ -467,6 +539,7 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 	for _, ci := range auc.Clusters {
 		cs := all[ci]
 		ec := cs.ec
+		cp := b.pos[ci]
 		reqOK := func(er EconRequest) bool {
 			if er.VHat < p-eps || exclClients[er.Request.Client] {
 				return false
@@ -476,22 +549,25 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 			}
 			return true
 		}
-		offOK := func(eo EconOffer) bool {
-			return eo.CHat <= p+eps && !exclProviders[eo.Offer.Provider]
-		}
 
+		st.reqOK = st.reqOK.sized(len(ec.Requests))
 		eligible := 0
-		for _, er := range ec.Requests {
-			if !st.taken[er.Request.ID] && reqOK(er) {
-				eligible++
+		for i, er := range ec.Requests {
+			if reqOK(er) {
+				st.reqOK.set(i)
+				if !st.taken.has(int(cp.req[i])) {
+					eligible++
+				}
 			}
 		}
 		if eligible == 0 {
 			continue
 		}
+		st.offOK = st.offOK.sized(len(ec.Offers))
 		eligibleOffers := 0
-		for _, eo := range ec.Offers {
-			if offOK(eo) {
+		for j, eo := range ec.Offers {
+			if eo.CHat <= p+eps && !exclProviders[eo.Offer.Provider] {
+				st.offOK.set(j)
 				eligibleOffers++
 			}
 		}
@@ -506,47 +582,48 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 		// size ascending (hardware is system-reported, not strategic)
 		// so small requests don't fragment the big machines.
 		label := fmt.Sprintf("auction:%d/cluster:%s", ai, ec.Cluster.Key())
-		offOrder := sizeOrder(evidence, label+"/offers", ec.Offers)
+		offOrder := sizeOrder(b.evidence, label+"/offers", ec.Offers)
 
-		// Trial pack on copy-on-write state: if every eligible request
-		// fits, the deterministic v̂-descending request order is fine.
-		// Otherwise Algorithm 4 applies: "randomize the allocation of
-		// cluster" — BOTH which requests trade and where they land
-		// are drawn from the evidence-keyed lottery, so no marginal
-		// participant can bid its way into the capacity-constrained
-		// allocation. This randomization is the welfare price of
-		// truthfulness the paper measures in Figures 5a–5b.
+		// Trial pack on a trial view of the block state: if every
+		// eligible request fits, the deterministic v̂-descending request
+		// order is fine. Otherwise Algorithm 4 applies: "randomize the
+		// allocation of cluster" — BOTH which requests trade and where
+		// they land are drawn from the evidence-keyed lottery, so no
+		// marginal participant can bid its way into the
+		// capacity-constrained allocation. This randomization is the
+		// welfare price of truthfulness the paper measures in Figures
+		// 5a–5b.
 		//
-		// The overlay observes exactly the values a full Clone would, so
-		// the trial's assignments equal what a re-pack against the real
-		// state would produce; in the full case they are committed
-		// directly — same grants, same order, same float mutations as
-		// the re-pack the sequential mechanism used to run.
-		trialTaken := newTakenOverlay(st.taken)
-		full := ec.pack(trialCapacity(st.tracker), trialTaken, reqOK, offOK, pairOK, nil, offOrder)
+		// The trial view observes exactly the parent's values, so the
+		// trial's assignments equal what a pack against the real state
+		// would produce; in the full case the view is adopted — same
+		// grants, same order, same float mutations.
+		copy(st.trialTaken, st.taken)
+		trial := st.tracker.trial()
+		full := ec.pack(trial, cp, st.trialTaken, st.reqOK, st.offOK, b.pairOK, nil, offOrder, st.asg[:0])
+		st.asg = full
 
 		var asg []Assignment
 		if len(full) == eligible {
 			asg = full
-			for _, a := range full {
-				st.tracker.Commit(a.Req.Request, a.Off.Offer, a.Granted, a.Start)
-				st.taken[a.Req.Request.ID] = true
-			}
+			st.tracker.adopt(trial)
+			st.taken, st.trialTaken = st.trialTaken, st.taken
 		} else {
 			reqIDs := make([]string, len(ec.Requests))
 			for i, er := range ec.Requests {
 				reqIDs[i] = string(er.Request.ID)
 			}
-			reqOrder := stats.KeyedOrder(evidence, label+"/requests", reqIDs)
+			reqOrder := stats.KeyedOrder(b.evidence, label+"/requests", reqIDs)
 			offIDs := make([]string, len(ec.Offers))
 			for i, eo := range ec.Offers {
 				offIDs[i] = string(eo.Offer.ID)
 			}
-			randOff := stats.KeyedOrder(evidence, label+"/offers-lottery", offIDs)
-			asg = ec.Pack(st.tracker, st.taken, reqOK, offOK, pairOK, reqOrder, randOff)
-			for _, er := range ec.Requests {
-				if !st.taken[er.Request.ID] && reqOK(er) {
-					st.lottery[er.Request.ID] = true
+			randOff := stats.KeyedOrder(b.evidence, label+"/offers-lottery", offIDs)
+			asg = ec.pack(st.tracker, cp, st.taken, st.reqOK, st.offOK, b.pairOK, reqOrder, randOff, st.asg[:0])
+			st.asg = asg
+			for i := range ec.Requests {
+				if rp := int(cp.req[i]); st.reqOK.has(i) && !st.taken.has(rp) {
+					st.lottery.set(rp)
 				}
 			}
 		}
@@ -559,16 +636,17 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 	// orders that were barred from this auction.
 	for _, ci := range auc.Clusters {
 		cs := all[ci]
-		for _, er := range cs.ec.Requests {
+		cp := b.pos[ci]
+		for i, er := range cs.ec.Requests {
 			excluded := exclClients[er.Request.Client] ||
 				(cfg.StrictReduction && cs.active && er.Request.Client == cs.zClient)
-			if excluded && er.VHat >= p-eps && !st.taken[er.Request.ID] {
-				st.reducedReq[er.Request.ID] = true
+			if rp := int(cp.req[i]); excluded && er.VHat >= p-eps && !st.taken.has(rp) {
+				st.reducedReq.set(rp)
 			}
 		}
-		for _, eo := range cs.ec.Offers {
+		for j, eo := range cs.ec.Offers {
 			if exclProviders[eo.Offer.Provider] && eo.CHat <= p+eps {
-				st.reducedOff[eo.Offer.ID] = true
+				st.reducedOff.set(int(cp.off[j]))
 			}
 		}
 	}
@@ -594,16 +672,19 @@ func RunGreedy(requests []*bidding.Request, offers []*bidding.Offer, cfg Config)
 
 	type ranked struct {
 		ec      *EconCluster
+		pos     clusterPos
 		welfare float64
 		active  bool
 	}
 	econ := econFor(cfg, ix)
 	pairOK := pairGate(cfg)
 	prePassed := make([]ranked, len(clusters))
-	par.ForEach(workers, len(clusters), func(i int) {
+	scratch := prepassScratches(cfg, ix, workers)
+	par.ForEachWorker(workers, len(clusters), func(w, i int) {
 		ec := econ(clusters[i])
-		st := prePass(ec, pairOK, func() Capacity { return newCapacity(cfg) })
-		prePassed[i] = ranked{ec: ec, welfare: st.welfare, active: st.active}
+		pos := mustPositions(ix, ec, make([]int32, len(ec.Requests)+len(ec.Offers)))
+		st := prePass(ec, pos, pairOK, &scratch[w])
+		prePassed[i] = ranked{ec: ec, pos: pos, welfare: st.welfare, active: st.active}
 	})
 	rankedClusters := make([]ranked, 0, len(clusters))
 	for _, rc := range prePassed {
@@ -623,10 +704,12 @@ func RunGreedy(requests []*bidding.Request, offers []*bidding.Offer, cfg Config)
 		return strings.Compare(a.ec.Cluster.Key(), b.ec.Cluster.Key())
 	})
 
-	tracker := newCapacity(cfg)
-	taken := make(map[bidding.OrderID]bool)
+	tracker := newCapacity(cfg, ix, true)
+	taken := newBitset(len(ix.Requests()))
+	var asg []Assignment
 	for _, rc := range rankedClusters {
-		for _, a := range rc.ec.Pack(tracker, taken, nil, nil, pairOK, nil, nil) {
+		asg = rc.ec.pack(tracker, rc.pos, taken, nil, nil, pairOK, nil, nil, asg[:0])
+		for _, a := range asg {
 			recordMatch(out, rc.ec, a, 0)
 		}
 	}
@@ -668,7 +751,7 @@ func recordMatch(out *Outcome, ec *EconCluster, a Assignment, price float64) {
 		Request:   r,
 		Offer:     o,
 		Granted:   a.Granted,
-		Fraction:  Fraction(a.Granted, r, o),
+		Fraction:  a.phi,
 		Nu:        nu,
 		UnitPrice: price,
 		Payment:   pay,
@@ -727,25 +810,35 @@ func sizeOrder(evidence []byte, label string, offers []EconOffer) []int {
 	return order
 }
 
+// record appends a mini-auction's trades to the outcome, marking the
+// block positions of the offers that traded.
+func record(out *Outcome, usedOffers bitset, trades []trade) {
+	for _, tr := range trades {
+		recordMatch(out, tr.ec, tr.a, tr.price)
+		usedOffers.set(int(tr.a.op))
+	}
+}
+
 // finalize drops reduction/lottery records for orders that did trade in
 // a later mini-auction, emits them deterministically sorted, and settles
-// the payment/revenue maps from the recorded matches.
-func finalize(out *Outcome, taken map[bidding.OrderID]bool, reducedReq, reducedOff, lottery map[bidding.OrderID]bool) {
-	usedOffers := make(map[bidding.OrderID]bool, len(out.Matches))
-	for i := range out.Matches {
-		usedOffers[out.Matches[i].Offer.ID] = true
-	}
-	out.ReducedRequests = sortedIDs(reducedReq, taken)
-	out.ReducedOffers = sortedIDs(reducedOff, usedOffers)
-	out.LotteryDropped = sortedIDs(lottery, taken)
+// the payment/revenue maps from the recorded matches. Sets are bitsets
+// over ix's block positions.
+func finalize(out *Outcome, ix *match.Index, taken, usedOffers, reducedReq, reducedOff, lottery bitset) {
+	reqID := func(i int) bidding.OrderID { return ix.Requests()[i].ID }
+	offID := func(i int) bidding.OrderID { return ix.Offers()[i].ID }
+	out.ReducedRequests = sortedIDs(reducedReq, taken, reqID)
+	out.ReducedOffers = sortedIDs(reducedOff, usedOffers, offID)
+	out.LotteryDropped = sortedIDs(lottery, taken, reqID)
 	settle(out)
 }
 
-func sortedIDs(set map[bidding.OrderID]bool, traded map[bidding.OrderID]bool) []bidding.OrderID {
+// sortedIDs lists the IDs of the positions in set but not in traded,
+// sorted.
+func sortedIDs(set, traded bitset, id func(int) bidding.OrderID) []bidding.OrderID {
 	var ids []bidding.OrderID
-	for id := range set {
-		if !traded[id] {
-			ids = append(ids, id)
+	for w, m := range set {
+		for m &^= traded[w]; m != 0; m &= m - 1 {
+			ids = append(ids, id(w*64+bits.TrailingZeros64(m)))
 		}
 	}
 	slices.Sort(ids)

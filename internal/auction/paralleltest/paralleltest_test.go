@@ -1,12 +1,16 @@
 package paralleltest
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"decloud/internal/auction"
 	"decloud/internal/bidding"
+	"decloud/internal/match"
 	"decloud/internal/reputation"
+	"decloud/internal/resource"
 	"decloud/internal/workload"
 )
 
@@ -296,5 +300,132 @@ func TestCheckDetectsDivergence(t *testing.T) {
 	}
 	if s := diffSummary(outA, outB); s == "" {
 		t.Fatal("empty diff summary for differing outcomes")
+	}
+}
+
+// wideMarket builds a block over nkinds > 64 resource kinds, so the
+// index's kind masks span several words. Each offer sells 6–20 random
+// kinds; each request asks for 2–5 kinds of one offer at up to 1.3× its
+// quantity, and every other request is flexible, so grants are often
+// partial and the φ sums run over several kinds.
+func wideMarket(seed int64, nreq, noff, nkinds int) ([]*bidding.Request, []*bidding.Offer) {
+	rng := rand.New(rand.NewSource(seed))
+	kind := func(i int) resource.Kind { return resource.Kind(fmt.Sprintf("w%03d", i)) }
+	offs := make([]*bidding.Offer, noff)
+	for i := range offs {
+		v := make(resource.Vector)
+		for n := 6 + rng.Intn(15); len(v) < n; {
+			v[kind(rng.Intn(nkinds))] = 4 + float64(rng.Intn(13))
+		}
+		start := int64(rng.Intn(20))
+		offs[i] = &bidding.Offer{
+			ID:        bidding.OrderID(fmt.Sprintf("o%03d", i)),
+			Provider:  bidding.ParticipantID(fmt.Sprintf("p%03d", i%(noff/2+1))),
+			Resources: v,
+			Start:     start, End: start + 100 + int64(rng.Intn(100)),
+			Bid:       1 + rng.Float64()*20,
+			Submitted: int64(rng.Intn(5)),
+		}
+	}
+	reqs := make([]*bidding.Request, nreq)
+	for i := range reqs {
+		host := offs[rng.Intn(noff)].Resources
+		kinds := host.Kinds()
+		v := make(resource.Vector)
+		for n := 2 + rng.Intn(4); len(v) < n && len(v) < len(kinds); {
+			k := kinds[rng.Intn(len(kinds))]
+			v[k] = host[k] * (0.2 + 1.1*rng.Float64())
+		}
+		start := int64(20 + rng.Intn(20))
+		dur := int64(20 + rng.Intn(50))
+		r := &bidding.Request{
+			ID:        bidding.OrderID(fmt.Sprintf("r%03d", i)),
+			Client:    bidding.ParticipantID(fmt.Sprintf("c%03d", i%(nreq/3+1))),
+			Resources: v,
+			Start:     start, End: start + dur + int64(rng.Intn(20)), Duration: dur,
+			Bid:       5 + rng.Float64()*60,
+			Submitted: int64(rng.Intn(5)),
+		}
+		if i%2 == 1 {
+			r.Flexibility = 0.5 + 0.4*rng.Float64()
+		}
+		reqs[i] = r
+	}
+	return reqs, offs
+}
+
+// TestEquivalenceIndexedVsNaiveWideKinds runs the indexed-vs-naive
+// oracle over wide markets (more than 64 kinds, multi-word masks) with
+// flexible requests: the dense tracker's multi-word grant and commit
+// walk and its φ accumulation must match the map Tracker byte for byte
+// through the whole mechanism.
+func TestEquivalenceIndexedVsNaiveWideKinds(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		reqs, offs := wideMarket(seed, 120, 16, 140)
+		if nw := match.NewIndex(reqs, offs, match.BlockScale(reqs, offs)).MaskWords(); nw < 2 {
+			t.Fatalf("seed %d: market spans %d mask word(s), want a wide block", seed, nw)
+		}
+		cfg := auction.DefaultConfig()
+		cfg.Evidence = []byte(fmt.Sprintf("wide-%d", seed))
+		if seed%2 == 1 {
+			cfg.StrictReduction = true
+		}
+		out := auction.Run(reqs, offs, cfg)
+		partial := 0
+		for _, m := range out.Matches {
+			if !m.Granted.Equal(m.Request.Resources) {
+				partial++
+			}
+		}
+		if len(out.Matches) == 0 || partial == 0 {
+			t.Fatalf("seed %d: %d trades, %d partial — the market must exercise flexible grants", seed, len(out.Matches), partial)
+		}
+		AssertIndexedVsNaive(t, reqs, offs, cfg, []int{2, 4})
+	}
+}
+
+// TestEquivalenceIndexedVsNaiveZeroGrants runs the oracle over markets
+// where every fourth request has Flexibility 1e-12, so once an earlier
+// grant uses up one of its kinds on an offer it is still granted there
+// with that kind at 0. φ must leave such kinds out exactly as Fraction
+// does, through payments, pre-pass welfare and the greedy ranking, on
+// single-word (40 kinds) and multi-word (140 kinds) blocks.
+func TestEquivalenceIndexedVsNaiveZeroGrants(t *testing.T) {
+	zeroGrants := 0
+	for seed := int64(0); seed < 8; seed++ {
+		nkinds := 40 // wideMarket offers sell up to 20 distinct kinds
+		if seed%2 == 1 {
+			nkinds = 140
+		}
+		reqs, offs := wideMarket(100+seed, 120, 16, nkinds)
+		for i := 3; i < len(reqs); i += 4 {
+			reqs[i].Flexibility = 1e-12
+		}
+		cfg := auction.DefaultConfig()
+		cfg.Evidence = []byte(fmt.Sprintf("zero-%d", seed))
+		for _, m := range auction.Run(reqs, offs, cfg).Matches {
+			for k, g := range m.Granted {
+				if g == 0 && m.Offer.Resources[k] > 0 {
+					zeroGrants++
+				}
+			}
+		}
+		AssertIndexedVsNaive(t, reqs, offs, cfg, []int{2, 4})
+		ref := cfg
+		ref.Match.Reference = true
+		want, err := MarshalOutcome(auction.RunGreedy(reqs, offs, ref))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MarshalOutcome(auction.RunGreedy(reqs, offs, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("seed %d: dense RunGreedy diverges from the map Tracker: %s", seed, diffSummary(want, got))
+		}
+	}
+	if zeroGrants == 0 {
+		t.Fatal("no trade was granted 0 of a kind its offer provides: the markets must exercise zero grants")
 	}
 }

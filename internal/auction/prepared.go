@@ -75,15 +75,15 @@ func prepassSignature(cl *cluster.Cluster) string {
 // reqs and offs must be the exact order sets the index was built from,
 // already validated: RunPrepared performs no screening, so the outcome
 // carries empty rejection lists unless the caller records rejects
-// itself. cache may be nil (no caching).
+// itself. cache may be nil (no caching). With cfg.Obs set, RunPrepared
+// records the prepass and auctions phases; the index and cluster phases
+// belong to the caller that built them.
 func RunPrepared(reqs []*bidding.Request, offs []*bidding.Offer, ix *match.Index, clusters []*cluster.Cluster, cfg Config, cache *PrepassCache) *Outcome {
 	pt := startPhases(cfg.Obs)
 	out := &Outcome{
 		Payments: make(map[bidding.OrderID]float64),
 		Revenues: make(map[bidding.OrderID]float64),
 	}
-	pt.lapIndex()
-	pt.lapCluster()
 	runClustered(out, reqs, offs, ix, clusters, cfg, &pt, cache)
 	return out
 }
@@ -105,6 +105,14 @@ func runClustered(out *Outcome, reqs []*bidding.Request, offs []*bidding.Offer, 
 	econ := econFor(cfg, ix)
 	pairOK := pairGate(cfg)
 	all := make([]clusterStats, len(clusters))
+	// Block positions of every cluster's economics, carved from one
+	// buffer: the economics keep a subset of the cluster's orders.
+	pos := make([]clusterPos, len(clusters))
+	bufAt := make([]int, len(clusters)+1)
+	for i, cl := range clusters {
+		bufAt[i+1] = bufAt[i] + len(cl.Requests) + len(cl.Offers)
+	}
+	posBuf := make([]int32, bufAt[len(clusters)])
 	useCache := cache.cacheable(cfg)
 	var sigs []string
 	if useCache {
@@ -113,14 +121,23 @@ func runClustered(out *Outcome, reqs []*bidding.Request, offs []*bidding.Offer, 
 			sigs[i] = prepassSignature(cl)
 		}
 	}
-	par.ForEach(workers, len(clusters), func(i int) {
+	scratch := prepassScratches(cfg, ix, workers)
+	par.ForEachWorker(workers, len(clusters), func(w, i int) {
+		buf := posBuf[bufAt[i]:bufAt[i+1]]
 		if useCache {
+			// A hit whose orders the index does not hold (an ID
+			// re-submitted as a new order with the same contents) is
+			// recomputed against the current orders instead.
 			if st, ok := cache.entries[sigs[i]]; ok {
-				all[i] = st
-				return
+				if p, ok := positionsOf(ix, st.ec, buf); ok {
+					all[i], pos[i] = st, p
+					return
+				}
 			}
 		}
-		all[i] = prePass(econ(clusters[i]), pairOK, func() Capacity { return newCapacity(cfg) })
+		ec := econ(clusters[i])
+		pos[i] = mustPositions(ix, ec, buf)
+		all[i] = prePass(ec, pos[i], pairOK, &scratch[w])
 	})
 	if useCache {
 		next := make(map[string]clusterStats, len(clusters))
@@ -146,26 +163,21 @@ func runClustered(out *Outcome, reqs []*bidding.Request, offs []*bidding.Offer, 
 	if evidence == nil {
 		evidence = []byte("decloud/no-evidence")
 	}
+	b := &block{ix: ix, cfg: cfg, pairOK: pairOK, evidence: evidence, all: all, pos: pos}
 
-	if cfg.Shards > 0 {
-		runAuctionsSharded(out, reqs, offs, clusters, auctions, all, cfg, pairOK, evidence, workers)
-		pt.lapAuctions()
-		pt.finish(out, ix)
-		return
-	}
-	if workers > 1 {
-		runAuctionsParallel(out, auctions, all, cfg, pairOK, evidence, workers)
-		pt.lapAuctions()
-		pt.finish(out, ix)
-		return
-	}
-	st := newBlockState(cfg)
-	for ai := range auctions {
-		for _, tr := range runMiniAuction(ai, auctions[ai], all, cfg, pairOK, evidence, st) {
-			recordMatch(out, tr.ec, tr.a, tr.price)
+	switch {
+	case cfg.Shards > 0:
+		runAuctionsSharded(out, reqs, offs, clusters, auctions, b, workers)
+	case workers > 1:
+		runAuctionsParallel(out, auctions, b, workers)
+	default:
+		st := newBlockState(cfg, ix)
+		usedOffers := newBitset(len(ix.Offers()))
+		for ai := range auctions {
+			record(out, usedOffers, runMiniAuction(ai, auctions[ai], b, st))
 		}
+		finalize(out, ix, st.taken, usedOffers, st.reducedReq, st.reducedOff, st.lottery)
 	}
-	finalize(out, st.taken, st.reducedReq, st.reducedOff, st.lottery)
 	pt.lapAuctions()
 	pt.finish(out, ix)
 }

@@ -480,11 +480,15 @@ func TestSBBAPriceRuleParallel(t *testing.T) {
 		scratch := &Outcome{Payments: map[bidding.OrderID]float64{}, Revenues: map[bidding.OrderID]float64{}}
 		sreqs, soffs := screen(reqs, offs, scratch)
 		scale := match.BlockScale(sreqs, soffs)
-		clusters := cluster.Build(sreqs, soffs, scale, cfg.Match)
+		ix := match.NewIndex(sreqs, soffs, scale)
+		clusters := cluster.BuildIndex(ix, cfg.Match, 1)
 		pairOK := pairGate(cfg)
 		all := make([]clusterStats, len(clusters))
+		pos := make([]clusterPos, len(clusters))
 		for i := range clusters {
-			all[i] = prePass(ComputeEconomics(clusters[i], cfg.Critical), pairOK, func() Capacity { return newCapacity(cfg) })
+			ec := ComputeEconomics(clusters[i], cfg.Critical)
+			pos[i] = mustPositions(ix, ec, make([]int32, len(ec.Requests)+len(ec.Offers)))
+			all[i] = prePass(ec, pos[i], pairOK, &prepassScratch{cfg: cfg, ix: ix})
 		}
 		var intervals []miniauction.Interval
 		for i := range all {
@@ -500,7 +504,7 @@ func TestSBBAPriceRuleParallel(t *testing.T) {
 		// attributed to every request of its member clusters.
 		valid := make(map[bidding.OrderID]map[float64]bool)
 		for _, auc := range auctions {
-			p, _, _, ok := auctionPrice(auc, all)
+			p, _, ok := auctionPrice(auc, all, pos, newBitset(len(soffs)))
 			if !ok {
 				continue
 			}

@@ -22,17 +22,17 @@ import (
 // against its own blockState. Shards and residual are pairwise
 // order-disjoint, so the same commutation argument applies: merging
 // trades in auction-index order and unioning the disjoint bookkeeping
-// maps reproduces the sequential execution byte for byte at any K.
+// bitsets reproduces the sequential execution byte for byte at any K.
 // paralleltest.CheckShardedVsMonolithic enforces exactly this.
 
 // runAuctionsSharded partitions the block's mini-auctions into
 // cfg.Shards shards plus a residual, clears them on the worker pool,
 // and fills in the outcome exactly as the sequential loop would. The
 // returned plan carries the partition's conservation accounting.
-func runAuctionsSharded(out *Outcome, reqs []*bidding.Request, offs []*bidding.Offer, clusters []*cluster.Cluster, auctions []miniauction.Auction, all []clusterStats, cfg Config, pairOK func(EconRequest, EconOffer) bool, evidence []byte, workers int) *shard.Plan {
-	so := cfg.ShardObs
+func runAuctionsSharded(out *Outcome, reqs []*bidding.Request, offs []*bidding.Offer, clusters []*cluster.Cluster, auctions []miniauction.Auction, b *block, workers int) *shard.Plan {
+	so := b.cfg.ShardObs
 	partitionStart := shardNow(so)
-	plan := shard.Partition(reqs, offs, clusters, auctions, evidence, cfg.Shards)
+	plan := shard.Partition(reqs, offs, clusters, auctions, b.evidence, b.cfg.Shards)
 	if so != nil {
 		so.PartitionSeconds.Observe(time.Since(partitionStart).Seconds())
 	}
@@ -42,12 +42,12 @@ func runAuctionsSharded(out *Outcome, reqs []*bidding.Request, offs []*bidding.O
 
 	clearStart := shardNow(so)
 	par.ForEach(workers, len(plan.Shards), func(si int) {
-		st := newBlockState(cfg)
+		st := newBlockState(b.cfg, b.ix)
 		for _, ai := range plan.Shards[si] {
 			// Auctions keep their global index: the evidence-keyed
 			// lotteries are labeled by it, so the shard assignment must
 			// not change which lottery an auction draws.
-			tradesByAuction[ai] = runMiniAuction(ai, auctions[ai], all, cfg, pairOK, evidence, st)
+			tradesByAuction[ai] = runMiniAuction(ai, auctions[ai], b, st)
 		}
 		states[si] = st
 	})
@@ -60,34 +60,18 @@ func runAuctionsSharded(out *Outcome, reqs []*bidding.Request, offs []*bidding.O
 	// state — order-disjoint from every shard, so position in time is
 	// immaterial to the bytes.
 	residualStart := shardNow(so)
-	rst := newBlockState(cfg)
+	rst := newBlockState(b.cfg, b.ix)
 	for _, ai := range plan.Residual {
-		tradesByAuction[ai] = runMiniAuction(ai, auctions[ai], all, cfg, pairOK, evidence, rst)
+		tradesByAuction[ai] = runMiniAuction(ai, auctions[ai], b, rst)
 	}
 	states[len(plan.Shards)] = rst
 	if so != nil {
 		so.ResidualSeconds.Observe(time.Since(residualStart).Seconds())
 	}
 
-	// Canonical merge, identical to parallel.go: trades in
-	// auction-index order, bookkeeping maps unioned (key sets disjoint
-	// across shards and residual).
-	for _, trs := range tradesByAuction {
-		for _, tr := range trs {
-			recordMatch(out, tr.ec, tr.a, tr.price)
-		}
-	}
-	taken := make(map[bidding.OrderID]bool)
-	reducedReq := make(map[bidding.OrderID]bool)
-	reducedOff := make(map[bidding.OrderID]bool)
-	lottery := make(map[bidding.OrderID]bool)
-	for _, st := range states {
-		mergeIDs(taken, st.taken)
-		mergeIDs(reducedReq, st.reducedReq)
-		mergeIDs(reducedOff, st.reducedOff)
-		mergeIDs(lottery, st.lottery)
-	}
-	finalize(out, taken, reducedReq, reducedOff, lottery)
+	// Canonical merge, identical to parallel.go (shards and residual
+	// are order-disjoint).
+	mergeStates(out, b.ix, tradesByAuction, states)
 
 	out.ShardStats = shardStats(plan, tradesByAuction)
 	observeShards(so, out.ShardStats)

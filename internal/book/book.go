@@ -52,6 +52,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"time"
 
 	"decloud/internal/auction"
 	"decloud/internal/bidding"
@@ -554,11 +555,23 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 		b.cache.Flush()
 	}
 
+	// With cfg.Obs set, the index and cluster phases — built here, not
+	// in RunPrepared — are recorded like auction.Run records them.
+	mm := b.cfg.Obs
+	var lap time.Time
+	if mm != nil {
+		lap = time.Now()
+	}
 	if b.ixScratch == nil {
 		b.ixScratch = match.NewIndexScratch()
 	}
 	b.ixScratch.Reset()
 	ix := match.NewIndexWith(reqs, offs, scale, b.ixScratch)
+	if mm != nil {
+		now := time.Now()
+		mm.IndexSeconds.Observe(now.Sub(lap).Seconds())
+		lap = now
+	}
 	ordered := ix.Requests() // canonical (Submitted, ID) order
 	best := make([][]*bidding.Offer, len(ordered))
 	entries := make([]*reqEntry, len(ordered))
@@ -591,6 +604,9 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	})
 
 	clusters := b.buildClustersLocked(ordered, entries, best)
+	if mm != nil {
+		mm.ClusterSeconds.Observe(time.Since(lap).Seconds())
+	}
 
 	out := auction.RunPrepared(reqs, offs, ix, clusters, cfg, b.cache)
 

@@ -7,11 +7,13 @@
 // The builder represents offer sets as bitmasks over the block's offer
 // universe (bits assigned in first-seen order), so Algorithm 2's subset
 // and intersection tests — executed once per (request, existing cluster)
-// pair — are word-wise AND/ANDN instead of per-offer map probes, and an
-// intersection cluster is only materialized when its popcount proves it
-// non-trivial. Cluster identity in the builder's map is the trimmed
-// byte encoding of the mask, which is bijective with the offer set; the
-// public Key() (sorted IDs) is unchanged and computed once per cluster.
+// pair — are word-wise AND/ANDN over a slice walk of the clusters in
+// creation order, and an intersection cluster is only materialized when
+// its popcount proves it non-trivial. Exact-set lookups go through an
+// open-addressing table keyed by a hash of the mask words (trailing
+// zero words ignored) and confirmed by mask equality, so no string key
+// is built per overlap; the public Key() (sorted IDs) is unchanged and
+// computed once per cluster.
 //
 // Request membership uses the same trick over a request universe:
 // during Update a cluster's members are a bitmask, so inheriting a
@@ -22,7 +24,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"slices"
 	"strings"
@@ -44,10 +45,9 @@ type Cluster struct {
 	// construction membership lives in rmask.
 	Requests []*bidding.Request
 
-	offerIDs map[bidding.OrderID]bool
-	mask     []uint64 // offer set over the builder's offer universe
-	rmask    []uint64 // member requests over the builder's request universe
-	key      string   // cached offerSetKey
+	mask  []uint64 // offer set over the builder's offer universe
+	rmask []uint64 // member requests over the builder's request universe
+	key   string   // cached offerSetKey
 
 	// Creation tag: the (Submitted, ID) canonical sort key of the
 	// Update call that created this cluster, plus the creation sequence
@@ -63,26 +63,29 @@ type Cluster struct {
 }
 
 // newCluster builds a cluster from an offer set and its builder mask.
-// The Cluster struct, its Offers copy, the ID set, and the key are
-// ordinary heap allocations on purpose: clusters outlive the build — the
-// auction's prepass cache retains them across many later clears — while
+// The Cluster struct, its Offers copy, and the key are ordinary heap
+// allocations on purpose: clusters outlive the build — the auction's
+// prepass cache retains them across many later clears — while
 // mask/rmask are builder-epoch scratch that Clusters() severs.
 func newCluster(offers []*bidding.Offer, mask []uint64) *Cluster {
 	c := &Cluster{
-		Offers:   append([]*bidding.Offer(nil), offers...),
-		offerIDs: make(map[bidding.OrderID]bool, len(offers)),
-		mask:     mask,
+		Offers: append([]*bidding.Offer(nil), offers...),
+		mask:   mask,
 	}
 	sortOffers(c.Offers)
-	for _, o := range offers {
-		c.offerIDs[o.ID] = true
-	}
 	c.key = offerSetKey(c.Offers)
 	return c
 }
 
 // HasOffer reports whether the offer belongs to the cluster's offer set.
-func (c *Cluster) HasOffer(id bidding.OrderID) bool { return c.offerIDs[id] }
+func (c *Cluster) HasOffer(id bidding.OrderID) bool {
+	for _, o := range c.Offers {
+		if o.ID == id {
+			return true
+		}
+	}
+	return false
+}
 
 // HasRequest reports whether the request belongs to the cluster.
 func (c *Cluster) HasRequest(id bidding.OrderID) bool {
@@ -156,19 +159,38 @@ func sortOffers(offers []*bidding.Offer) {
 	})
 }
 
-// maskSubset reports a ⊆ b for offer-set masks; masks of different
-// lengths are zero-extended.
-func maskSubset(a, b []uint64) bool {
+// maskEqual reports a == b for offer-set masks, zero-extending the
+// shorter one.
+func maskEqual(a, b []uint64) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
 	for i, w := range a {
-		var bw uint64
-		if i < len(b) {
-			bw = b[i]
+		if w != b[i] {
+			return false
 		}
-		if w&^bw != 0 {
+	}
+	for _, w := range b[len(a):] {
+		if w != 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// maskHash hashes a mask's words up to its last non-zero word, so masks
+// equal under zero extension hash alike.
+func maskHash(m []uint64) uint64 {
+	n := len(m)
+	for n > 0 && m[n-1] == 0 {
+		n--
+	}
+	h := uint64(0x9E3779B97F4A7C15)
+	for _, w := range m[:n] {
+		h = (h ^ w) * 0xBF58476D1CE4E5B9
+		h ^= h >> 31
+	}
+	return h
 }
 
 // Builder incrementally applies Algorithm 2's UPDATECLUSTERS procedure.
@@ -180,8 +202,12 @@ func maskSubset(a, b []uint64) bool {
 // instead of reallocated. Builders are not safe for concurrent use;
 // per-shard loops own per-shard builders.
 type Builder struct {
-	clusters map[string]*Cluster // keyed by trimmed mask bytes
-	order    []string            // insertion order of mask keys, for determinism
+	list   []*Cluster // every cluster of the epoch, in creation order
+	hashes []uint64   // maskHash of list[i]'s offer set
+	// slots is an open-addressing table over list (entry i+1 ⇔
+	// list[i], 0 empty), probed linearly from the mask hash; its length
+	// is a power of two, at least twice len(list).
+	slots []int32
 
 	bitOf    map[*bidding.Offer]int // offer → universe bit
 	universe []*bidding.Offer       // bit → offer
@@ -199,12 +225,12 @@ type Builder struct {
 	// membership bookkeeping of an epoch lives in the slab.
 	rw int
 
-	bm   []uint64         // scratch: the current request's best-offer mask
-	iw   []uint64         // scratch: intersection words
-	kb   []byte           // scratch: trimmed key bytes
-	subs []*Cluster       // scratch: subset clusters of the current update
-	sups []*Cluster       // scratch: superset clusters of the current update
-	ob   []*bidding.Offer // scratch: offersOf output
+	bm    []uint64         // scratch: the current request's best-offer mask
+	iw    []uint64         // scratch: intersection words
+	subs  []*Cluster       // scratch: subset clusters of the current update
+	sups  []*Cluster       // scratch: superset clusters of the current update
+	parts []*Cluster       // scratch: partially overlapping clusters
+	ob    []*bidding.Offer // scratch: offersOf output
 
 	// Current Update's creation tag, stamped onto clusters by put.
 	updSub int64
@@ -215,25 +241,40 @@ type Builder struct {
 // NewBuilder returns an empty cluster builder.
 func NewBuilder() *Builder {
 	return &Builder{
-		clusters: make(map[string]*Cluster),
-		bitOf:    make(map[*bidding.Offer]int),
-		reqBit:   make(map[bidding.OrderID]int),
+		bitOf:  make(map[*bidding.Offer]int),
+		reqBit: make(map[bidding.OrderID]int),
 	}
 }
 
 // Reset rewinds the builder for a new epoch, retaining map buckets,
 // scratch slices, and mask-slab capacity. Clusters previously returned
 // by Clusters() remain valid (they own their data); everything else the
-// builder handed out becomes invalid.
+// builder handed out becomes invalid. Retained slices are cleared up to
+// their capacity, so no order or cluster of a past epoch stays reachable
+// through the builder.
 func (b *Builder) Reset() {
-	clear(b.clusters)
-	b.order = b.order[:0]
+	b.list = clearAll(b.list)
+	b.hashes = b.hashes[:0]
+	clear(b.slots)
 	clear(b.bitOf)
-	b.universe = b.universe[:0]
+	b.universe = clearAll(b.universe)
 	clear(b.reqBit)
-	b.reqUniverse = b.reqUniverse[:0]
+	b.reqUniverse = clearAll(b.reqUniverse)
+	b.subs = clearAll(b.subs)
+	b.sups = clearAll(b.sups)
+	b.parts = clearAll(b.parts)
+	b.ob = clearAll(b.ob)
 	b.masks.Reset()
 	b.rw = 0
+}
+
+// clearAll zeroes s up to its capacity and truncates it: scratch slices
+// are re-sliced from zero by every use, so entries past the current
+// length may still hold pointers from a longer earlier use.
+func clearAll[T any](s []T) []T {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
 }
 
 // Reserve sizes the request-membership masks for a round expected to
@@ -311,24 +352,6 @@ func (b *Builder) maskOf(offers []*bidding.Offer) []uint64 {
 	return b.bm
 }
 
-// keyBytes encodes a mask as trimmed little-endian bytes into the
-// builder's scratch buffer. The encoding is injective over offer sets
-// regardless of how many words the mask was built with.
-func (b *Builder) keyBytes(m []uint64) []byte {
-	if cap(b.kb) < 8*len(m) {
-		b.kb = make([]byte, 8*len(m))
-	}
-	kb := b.kb[:8*len(m)]
-	for i, w := range m {
-		binary.LittleEndian.PutUint64(kb[i*8:], w)
-	}
-	n := len(kb)
-	for n > 0 && kb[n-1] == 0 {
-		n--
-	}
-	return kb[:n]
-}
-
 // offersOf materializes the offers of a mask into the builder's scratch
 // buffer, in universe-bit order (newCluster copies and re-sorts
 // canonically anyway). Valid until the next offersOf call.
@@ -343,15 +366,77 @@ func (b *Builder) offersOf(m []uint64) []*bidding.Offer {
 	return out
 }
 
-// put registers a newly created cluster (both call sites construct c
-// fresh), stamping it with the current Update's creation tag.
-func (b *Builder) put(key string, c *Cluster) {
+// find returns the cluster whose offer set is exactly m (hash h), or nil.
+func (b *Builder) find(m []uint64, h uint64) *Cluster {
+	if len(b.slots) == 0 {
+		return nil
+	}
+	wrap := len(b.slots) - 1
+	for i := int(h & uint64(wrap)); ; i = (i + 1) & wrap {
+		s := b.slots[i]
+		if s == 0 {
+			return nil
+		}
+		if b.hashes[s-1] == h && maskEqual(b.list[s-1].mask, m) {
+			return b.list[s-1]
+		}
+	}
+}
+
+// insert places list entry ci in the table.
+func (b *Builder) insert(ci int) {
+	wrap := len(b.slots) - 1
+	i := int(b.hashes[ci] & uint64(wrap))
+	for b.slots[i] != 0 {
+		i = (i + 1) & wrap
+	}
+	b.slots[i] = int32(ci + 1)
+}
+
+// put registers a newly created cluster whose offer set (hash h) find
+// reported absent, stamping it with the current Update's creation tag.
+func (b *Builder) put(c *Cluster, h uint64) {
 	c.cSub, c.cID, c.cSeq = b.updSub, b.updID, b.updSeq
 	b.updSeq++
-	if _, exists := b.clusters[key]; !exists {
-		b.order = append(b.order, key)
+	b.list = append(b.list, c)
+	b.hashes = append(b.hashes, h)
+	if 2*len(b.list) <= len(b.slots) {
+		b.insert(len(b.list) - 1)
+		return
 	}
-	b.clusters[key] = c
+	n := 64
+	for n < 4*len(b.list) {
+		n *= 2
+	}
+	if cap(b.slots) >= n {
+		b.slots = b.slots[:n]
+		clear(b.slots)
+	} else {
+		b.slots = make([]int32, n)
+	}
+	for ci := range b.list {
+		b.insert(ci)
+	}
+}
+
+// relate compares a cluster's offer set c with the best set m in one
+// pass over the words: whether c ⊆ m, whether m ⊆ c, and the size of
+// c ∩ m.
+func relate(c, m []uint64) (sub, sup bool, pop int) {
+	var cOut, mOut uint64
+	for i, w := range c {
+		var mw uint64
+		if i < len(m) {
+			mw = m[i]
+		}
+		cOut |= w &^ mw
+		mOut |= mw &^ w
+		pop += bits.OnesCount64(w & mw)
+	}
+	for _, mw := range m[min(len(c), len(m)):] {
+		mOut |= mw
+	}
+	return cOut == 0, mOut == 0, pop
 }
 
 // Update inserts request r with its best-offer set bestR, following
@@ -370,27 +455,35 @@ func (b *Builder) Update(r *bidding.Request, bestR []*bidding.Offer) {
 	b.updSub, b.updID, b.updSeq = r.Submitted, r.ID, 0
 	ri := b.internReq(r)
 	bestMask := b.maskOf(bestR)
-	bestKey := string(b.keyBytes(bestMask))
-	if b.clusters[bestKey] == nil {
-		b.put(bestKey, newCluster(bestR, b.cloneMask(bestMask)))
+	bh := maskHash(bestMask)
+	best := b.find(bestMask, bh)
+	if best == nil {
+		best = newCluster(bestR, b.cloneMask(bestMask))
+		b.put(best, bh)
 	}
 
-	// Fix the horizon now: intersection clusters created below must not
-	// themselves be revisited within this update. Entries already in
-	// b.order stay valid when it grows.
-	keys := b.order[:len(b.order):len(b.order)]
-
-	subsets, supersets := b.subs[:0], b.sups[:0]
-	for _, key := range keys {
-		c := b.clusters[key]
-		if maskSubset(c.mask, bestMask) {
-			subsets = append(subsets, c)
-		}
-		if maskSubset(bestMask, c.mask) {
-			supersets = append(supersets, c)
+	// One pass over the clusters existing now — intersection clusters
+	// created below are not revisited within this update — classifies
+	// each against bestR. A subset's or superset's intersection with
+	// bestR is itself or bestR's cluster, both of which end up holding
+	// r, so only partial overlaps of two or more offers can need
+	// another cluster.
+	subsets, supersets, partials := b.subs[:0], b.sups[:0], b.parts[:0]
+	for _, c := range b.list {
+		sub, sup, pop := relate(c.mask, bestMask)
+		switch {
+		case sub || sup:
+			if sub {
+				subsets = append(subsets, c)
+			}
+			if sup {
+				supersets = append(supersets, c)
+			}
+		case pop > 1:
+			partials = append(partials, c)
 		}
 	}
-	b.subs, b.sups = subsets, supersets
+	b.subs, b.sups, b.parts = subsets, supersets, partials
 	for _, subset := range subsets {
 		subset.rmask = b.setRBit(subset.rmask, ri)
 		for _, superset := range supersets {
@@ -398,36 +491,23 @@ func (b *Builder) Update(r *bidding.Request, bestR []*bidding.Offer) {
 		}
 	}
 
-	for _, key := range keys {
-		if key == bestKey {
-			continue
-		}
-		c := b.clusters[key]
-		// Intersect into scratch; only popcount ≥ 2 overlaps ever touch
-		// the cluster map or allocate.
-		nw := len(c.mask)
-		if len(bestMask) < nw {
-			nw = len(bestMask)
-		}
+	for _, c := range partials {
+		nw := min(len(c.mask), len(bestMask))
 		if cap(b.iw) < nw {
 			b.iw = make([]uint64, nw)
 		}
 		inter := b.iw[:nw]
-		pop := 0
-		for i := 0; i < nw; i++ {
+		for i := range inter {
 			inter[i] = c.mask[i] & bestMask[i]
-			pop += bits.OnesCount64(inter[i])
 		}
-		if pop <= 1 {
-			continue
-		}
-		if x := b.clusters[string(b.keyBytes(inter))]; x != nil {
+		ih := maskHash(inter)
+		if x := b.find(inter, ih); x != nil {
 			x.rmask = b.setRBit(x.rmask, ri)
 		} else {
 			nc := newCluster(b.offersOf(inter), b.cloneMask(inter))
 			nc.rmask = b.setRBit(nc.rmask, ri)
 			nc.rmask = orMask(nc.rmask, c.rmask)
-			b.put(string(b.keyBytes(inter)), nc)
+			b.put(nc, ih)
 		}
 	}
 }
@@ -444,10 +524,9 @@ func (b *Builder) Update(r *bidding.Request, bestR []*bidding.Offer) {
 // array. Clusters therefore stay valid — and never mutate each other —
 // arbitrarily far past the builder's next Reset.
 func (b *Builder) Clusters() []*Cluster {
-	out := make([]*Cluster, 0, len(b.order))
+	out := make([]*Cluster, 0, len(b.list))
 	total := 0
-	for _, key := range b.order {
-		c := b.clusters[key]
+	for _, c := range b.list {
 		n := 0
 		for _, w := range c.rmask {
 			n += bits.OnesCount64(w)

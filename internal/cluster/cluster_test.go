@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 
 	"decloud/internal/bidding"
 	"decloud/internal/match"
@@ -265,4 +267,58 @@ func TestClusterPairsAlwaysFeasible(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBuilderResetReleasesOrders: a long-lived builder (the order book
+// keeps one across clears) must not keep a past epoch's orders or
+// clusters reachable after Reset — not through its universes, its
+// cluster list, nor the high-water marks of its scratch slices.
+func TestBuilderResetReleasesOrders(t *testing.T) {
+	b := NewBuilder()
+	var offers []weak.Pointer[bidding.Offer]
+	var requests []weak.Pointer[bidding.Request]
+	var clusters []weak.Pointer[Cluster]
+	func() {
+		var offs []*bidding.Offer
+		for i := 0; i < 6; i++ {
+			offs = append(offs, off(fmt.Sprintf("o%d", i), 8))
+		}
+		b.Reserve(4)
+		for i, best := range [][]*bidding.Offer{offs[:4], offs[1:5], offs[2:6], offs[:6]} {
+			r := req(fmt.Sprintf("r%d", i), 4)
+			requests = append(requests, weak.Make(r))
+			b.Update(r, best)
+		}
+		for _, o := range offs {
+			offers = append(offers, weak.Make(o))
+		}
+		for _, c := range b.Clusters() {
+			clusters = append(clusters, weak.Make(c))
+		}
+		if len(clusters) < 3 {
+			t.Fatalf("epoch built %d clusters, want intersections too", len(clusters))
+		}
+	}()
+	b.Reset()
+	// A smaller next epoch reuses only the front of every slice.
+	b.Update(req("next", 4), []*bidding.Offer{off("n1", 8), off("n2", 8)})
+	b.Clusters()
+	b.Reset()
+	runtime.GC()
+	for i, w := range offers {
+		if w.Value() != nil {
+			t.Errorf("offer %d still reachable after Reset", i)
+		}
+	}
+	for i, w := range requests {
+		if w.Value() != nil {
+			t.Errorf("request %d still reachable after Reset", i)
+		}
+	}
+	for i, w := range clusters {
+		if w.Value() != nil {
+			t.Errorf("cluster %d still reachable after Reset", i)
+		}
+	}
+	runtime.KeepAlive(b)
 }

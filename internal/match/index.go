@@ -352,48 +352,37 @@ func (ix *Index) MaskWords() int { return ix.nw }
 // Purely observational.
 func (ix *Index) Scans() int64 { return ix.scans.Load() }
 
-// RequestMaskRow returns the request's kind bitmask words (MaskWords()
-// long; bit i%64 of word i/64 ⇔ positive quantity of Kinds()[i]). The
-// slice aliases the index — callers must not mutate it. ok is false
-// when the request is not part of the block.
-func (ix *Index) RequestMaskRow(r *bidding.Request) (mask []uint64, ok bool) {
+// RequestPos returns the request's block position: its index in
+// Requests(), which every position-keyed row, bitset and tracker of the
+// clear shares. ok is false when the request is not part of the block.
+func (ix *Index) RequestPos(r *bidding.Request) (int, bool) {
 	i, ok := ix.reqPos[r]
-	if !ok {
-		return nil, false
-	}
-	return ix.reqMask[i*ix.nw : (i+1)*ix.nw], true
+	return i, ok
 }
 
-// OfferMaskRow returns the offer's kind bitmask words; see
-// RequestMaskRow.
-func (ix *Index) OfferMaskRow(o *bidding.Offer) (mask []uint64, ok bool) {
+// OfferPos returns the offer's block position: its index in Offers().
+func (ix *Index) OfferPos(o *bidding.Offer) (int, bool) {
 	i, ok := ix.offPos[o]
-	if !ok {
-		return nil, false
-	}
-	return ix.offMask[i*ix.nw : (i+1)*ix.nw], true
+	return i, ok
 }
 
-// OfferRow returns the offer's dense quantity row, aligned with Kinds().
-// The slice aliases the index — callers must not mutate it. ok is false
-// when the offer is unknown.
-func (ix *Index) OfferRow(o *bidding.Offer) (row []float64, ok bool) {
-	i, ok := ix.offPos[o]
-	if !ok {
-		return nil, false
-	}
-	return ix.offRaw[i*ix.nk : (i+1)*ix.nk], true
-}
+// RequestMask returns the kind bitmask words of the request at block
+// position i (MaskWords() long; bit i%64 of word i/64 ⇔ positive
+// quantity of Kinds()[i]). The slice aliases the index — callers must
+// not mutate it.
+func (ix *Index) RequestMask(i int) []uint64 { return ix.reqMask[i*ix.nw : (i+1)*ix.nw] }
 
-// RequestRow returns the request's dense quantity row ρ_{r,k}, aligned
-// with Kinds(); see OfferRow.
-func (ix *Index) RequestRow(r *bidding.Request) (row []float64, ok bool) {
-	i, ok := ix.reqPos[r]
-	if !ok {
-		return nil, false
-	}
-	return ix.reqRaw[i*ix.nk : (i+1)*ix.nk], true
-}
+// OfferMask returns the kind bitmask words of the offer at block
+// position i; see RequestMask.
+func (ix *Index) OfferMask(i int) []uint64 { return ix.offMask[i*ix.nw : (i+1)*ix.nw] }
+
+// RequestRow returns the dense quantity row ρ_{r,k} of the request at
+// block position i, aligned with Kinds(). The slice aliases the index.
+func (ix *Index) RequestRow(i int) []float64 { return ix.reqRaw[i*ix.nk : (i+1)*ix.nk] }
+
+// OfferRow returns the dense quantity row ρ_{o,k} of the offer at block
+// position i, aligned with Kinds(). The slice aliases the index.
+func (ix *Index) OfferRow(i int) []float64 { return ix.offRaw[i*ix.nk : (i+1)*ix.nk] }
 
 // scored is a top-k slot: an offer index with its Eq. 18 quality.
 type scored struct {

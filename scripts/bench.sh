@@ -5,7 +5,7 @@
 # exists — prints a benchstat-style before/after table.
 #
 # Usage:
-#   scripts/bench.sh                    # run, compare against BENCH_PR10.json if present, overwrite it
+#   scripts/bench.sh                    # run, compare against BENCH_PR13.json if present, overwrite it
 #   BENCH_OUT=out.json scripts/bench.sh # write elsewhere
 #   BENCH_BASELINE=old.json scripts/bench.sh
 #   BENCH_PATTERN='BenchmarkMechanism1000$' BENCH_TIME=5x scripts/bench.sh
@@ -29,7 +29,7 @@ COUNT="${BENCH_COUNT:-3}"
 # iteration per point is minutes of wall time, so it runs at 1x and can
 # be skipped entirely with BENCH_FRONTIER_TIME=0.
 FRONTIER_TIME="${BENCH_FRONTIER_TIME:-1x}"
-OUT="${BENCH_OUT:-BENCH_PR10.json}"
+OUT="${BENCH_OUT:-BENCH_PR13.json}"
 BASELINE="${BENCH_BASELINE:-}"
 RAW="$(mktemp)"
 trap 'rm -f "${RAW}"' EXIT

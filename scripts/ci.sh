@@ -77,7 +77,7 @@ echo "    internal/futures (union incl. futurestest): ${fut_pct}% (gate 80.0%)"
 
 echo "==> bench gate (hard: allocs ±5%, ns ±30%, book/mechanism ratio ≤0.5)"
 # The mechanism microbenchmarks are compared against the committed
-# BENCH_PR10.json baseline and FAIL the build on regression. Even with
+# BENCH_PR13.json baseline and FAIL the build on regression. Even with
 # time-based sampling (-benchtime 1s, so every sample spans many
 # scheduler/steal periods) and min-of-N (-count=4; benchjson keeps the
 # fastest run per name), min-of-N ns/op on this class of shared runner
@@ -92,26 +92,28 @@ echo "==> bench gate (hard: allocs ±5%, ns ±30%, book/mechanism ratio ≤0.5)"
 #     scans over preallocated state).
 #   - -require-ratio BookIncremental1000/Mechanism1000 <= 0.5: the
 #     continuous-market acceptance (incremental clear ≥2× faster than
-#     the from-scratch oracle; measures ~3.5×) compared WITHIN one run,
+#     the from-scratch oracle; since the dense clearing path sped the
+#     oracle up more than the book it measures ~1.5× and this gate
+#     fails, see CHANGES.md) compared WITHIN one run,
 #     which cancels machine drift entirely and is therefore hard-gated
 #     at full strength.
 # Gated set: Mechanism400/1000, BookIncremental1000, Sharded1000
 # K∈{1,4} (K4 under -cpu 4, matching how scripts/bench.sh records it),
 # and the indexed order-book scan. Noisier micro points (Mechanism100,
-# BestOffersNaive/Indexed) are recorded in BENCH_PR10.json by
+# BestOffersNaive/Indexed) are recorded in BENCH_PR13.json by
 # scripts/bench.sh but not gated; ditto the slow load-frontier points,
 # absent from this run. Refresh the baseline with scripts/bench.sh
 # after intentional changes.
-if [ -f BENCH_PR10.json ]; then
+if [ -f BENCH_PR13.json ]; then
   { go test -run '^$' -bench 'BenchmarkMechanism400$|BenchmarkMechanism1000$|BenchmarkBookIncremental1000$|BenchmarkMechanismSharded1000K1$|BenchmarkBestOffersIndexedScan$' \
       -benchtime 1s -count=4 -benchmem . ./internal/match 2>/dev/null; \
     go test -run '^$' -bench 'BenchmarkMechanismSharded1000K4$' -cpu 4 \
       -benchtime 1s -count=4 -benchmem . 2>/dev/null; } \
-    | go run ./cmd/benchjson -baseline BENCH_PR10.json -gate 30 -gate-allocs 5 \
+    | go run ./cmd/benchjson -baseline BENCH_PR13.json -gate 30 -gate-allocs 5 \
         -require-ratio 'BenchmarkBookIncremental1000/BenchmarkMechanism1000<=0.5' \
         -out /tmp/bench_ci.json
 else
-  echo "    no BENCH_PR10.json baseline; skipping"
+  echo "    no BENCH_PR13.json baseline; skipping"
 fi
 
 echo "==> devnet smoke (multi-process, time-boxed)"
@@ -167,6 +169,10 @@ go test -run='^$' -fuzz='^FuzzBookMutations$' -fuzztime="${FUZZTIME}" ./internal
 # Anchored: the metro homing fuzzer checks total coverage, determinism,
 # and cell-boundary stability of the geography→exchange map.
 go test -run='^$' -fuzz='^FuzzMetroHoming$' -fuzztime="${FUZZTIME}" ./internal/metro
+# Anchored: the dense capacity fuzzer replays arbitrary grant/commit/
+# trial sequences against the map Tracker and fails on any bit of
+# difference in a grant, φ or remaining resource·time.
+go test -run='^$' -fuzz='^FuzzDenseCapacity$' -fuzztime="${FUZZTIME}" ./internal/auction
 # Anchored: the futures lifecycle fuzzer drives arbitrary reserve/
 # deliver/default/cancel sequences, audits conservation after every op,
 # and replays the log against a rebuild-from-scratch oracle.
